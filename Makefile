@@ -19,7 +19,7 @@ BENCHMERGE ?=
 # catches order-of-magnitude regressions, not percent-level drift.
 SMOKE_THRESHOLD ?= 200
 
-.PHONY: build test vet lint lint-fixtures staticcheck govulncheck race fuzz-short fuzz chaos-short chaos-net ci bench bench-smoke
+.PHONY: build test vet lint lint-fixtures staticcheck govulncheck race fuzz-short fuzz chaos-short chaos-net ci bench bench-smoke e2e-bench
 
 build:
 	$(GO) build ./...
@@ -112,3 +112,9 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkTable1_Cell' -benchmem -count=$(BENCHCOUNT) -benchtime=2x . | tee /tmp/bench_table1.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkDecode|BenchmarkCacheHit' -benchmem -count=$(BENCHCOUNT) ./internal/cache | tee /tmp/bench_decode.txt
 	$(GO) run ./cmd/benchjson -o $(BENCHOUT) table1=/tmp/bench_table1.txt decode=/tmp/bench_decode.txt $(BENCHMERGE)
+
+# End-to-end benchmark: a real 3dpro-server (and a sharded cluster) over
+# HTTP, every answer checked against a full-resolution oracle. Prints each
+# workload's metrics and one JSON line per workload (see perfbench/README.md).
+e2e-bench:
+	bash perfbench/run.sh --workload all --seed 1 --seconds 15 --trace 0

@@ -20,6 +20,12 @@
 //     The win is visible in Stats: RoundsSkipped counts rounds the warm
 //     starts did not replay.
 //
+//   - Derived structures: an entry owns the AABB tree of its mesh (Tree),
+//     built lazily at most once, and the mesh's lazily built triangle and
+//     SoA layouts. Each is charged to the entry's bytes when it is built
+//     and dropped with the entry, so warm queries rebuild nothing and the
+//     budget counts everything the cache keeps alive.
+//
 //   - Sharding: large caches split the key space across independently
 //     locked shards (all LODs of one object land in one shard), so decode
 //     misses and hits on different objects do not contend on one mutex at
@@ -33,6 +39,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/geom"
+	"repro/internal/index/aabbtree"
 	"repro/internal/mesh"
 	"repro/internal/ppvp"
 )
@@ -48,8 +56,12 @@ type Stats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
-	// BytesUsed is the current estimated footprint of cached meshes.
+	// BytesUsed is the current estimated footprint of cached meshes and
+	// the derived structures built for them.
 	BytesUsed int64
+	// TreeBuilds counts AABB trees built by Tree, cached or not. Warm
+	// queries over resident entries build none.
+	TreeBuilds int64
 
 	// WarmStarts counts misses served by resuming a retained progressive
 	// decoder instead of decoding from LOD 0.
@@ -90,6 +102,7 @@ func (s Stats) add(o Stats) Stats {
 	s.Misses += o.Misses
 	s.Evictions += o.Evictions
 	s.BytesUsed += o.BytesUsed
+	s.TreeBuilds += o.TreeBuilds
 	s.WarmStarts += o.WarmStarts
 	s.RoundsApplied += o.RoundsApplied
 	s.RoundsSkipped += o.RoundsSkipped
@@ -105,6 +118,7 @@ func (s Stats) Sub(o Stats) Stats {
 		Misses:         s.Misses - o.Misses,
 		Evictions:      s.Evictions - o.Evictions,
 		BytesUsed:      s.BytesUsed,
+		TreeBuilds:     s.TreeBuilds - o.TreeBuilds,
 		WarmStarts:     s.WarmStarts - o.WarmStarts,
 		RoundsApplied:  s.RoundsApplied - o.RoundsApplied,
 		RoundsSkipped:  s.RoundsSkipped - o.RoundsSkipped,
@@ -120,6 +134,12 @@ type entry struct {
 
 	ready chan struct{} // closed when mesh is available
 	err   error
+
+	// treeOnce single-flights the lazy build of tree, the entry's AABB
+	// tree; treeBytes (guarded by the shard mutex) is its charged size.
+	treeOnce  sync.Once
+	tree      *aabbtree.Tree
+	treeBytes int64
 }
 
 // decoderSlot retains one object's progressive decoder between misses. The
@@ -219,13 +239,15 @@ func (c *Cache) shardFor(object int64) *shard {
 	return c.shards[h&c.mask]
 }
 
-// meshBytes estimates the memory footprint of a decoded mesh, including any
-// derived memos (triangle slice, SoA lanes) materialized at admission time.
-// Memos built after admission are not re-accounted; they are bounded by a
-// small constant factor of the mesh itself.
-func meshBytes(m *mesh.Mesh) int64 {
-	return m.FootprintBytes() + 64
-}
+// entryBytes estimates the memory footprint of a complete entry: its mesh,
+// whichever derived layouts (triangle slice, SoA lanes) the mesh has
+// materialized, and its AABB tree. Derived structures are built after
+// admission, so the entry is re-charged each time one is (recharge).
+func entryBytes(e *entry) int64 { return meshBytes(e.mesh) + e.treeBytes }
+
+// meshBytes estimates a mesh with its materialized layouts, plus a fixed
+// per-entry overhead.
+func meshBytes(m *mesh.Mesh) int64 { return m.FootprintBytes() + 64 }
 
 // lookupOrReserve returns the existing entry for key (found=true) or
 // reserves a new in-flight entry owned by the caller (found=false).
@@ -257,10 +279,54 @@ func (s *shard) complete(e *entry, m *mesh.Mesh, err error) {
 		delete(s.entries, e.key)
 		return
 	}
-	e.bytes = meshBytes(m)
+	e.bytes = entryBytes(e)
 	e.elem = s.lru.PushFront(e)
 	s.used += e.bytes
+	m.OnMemo(func() { s.recharge(e) })
 	s.evictLocked()
+}
+
+// recharge re-measures a resident entry after one of its derived structures
+// was built and evicts LRU entries if the budget no longer holds. Entries
+// already evicted or replaced are not charged.
+func (s *shard) recharge(e *entry) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.entries[e.key] != e {
+		return
+	}
+	b := entryBytes(e)
+	s.used += b - e.bytes
+	e.bytes = b
+	s.evictLocked()
+}
+
+// Tree returns the AABB tree of m, the mesh the cache returned for key. The
+// tree belongs to the key's entry: it is built on first request, at most
+// once (concurrent requesters wait for the one build), charged to the
+// entry, and dropped with it on eviction, InvalidateObject and Clear. When
+// key has no resident entry holding m — caching is disabled, or the entry
+// was evicted after m was returned — the tree is built for this call only.
+func (c *Cache) Tree(key Key, m *mesh.Mesh) *aabbtree.Tree {
+	s := c.shardFor(key.Object)
+	s.mu.Lock()
+	e, ok := s.entries[key]
+	if !ok || e.mesh != m { // absent, in flight (mesh nil), or replaced
+		s.stats.TreeBuilds++
+		s.mu.Unlock()
+		return buildTree(m)
+	}
+	s.mu.Unlock()
+	e.treeOnce.Do(func() {
+		t := buildTree(m)
+		s.mu.Lock()
+		s.stats.TreeBuilds++
+		e.treeBytes = t.Bytes()
+		s.mu.Unlock()
+		s.recharge(e)
+		e.tree = t
+	})
+	return e.tree
 }
 
 // fail aborts an owned in-flight entry after a panic in decode.
@@ -533,8 +599,16 @@ func (c *Cache) Get(key Key) *mesh.Mesh {
 	return e.mesh
 }
 
-// evictLocked drops least-recently-used complete entries until the budget
-// holds. In-flight entries (elem == nil) are never evicted.
+// buildTree builds the AABB tree of m from a transient SoA packing, so an
+// entry queried only through its tree keeps no triangle or SoA memo beside
+// it (the tree holds its own reordered triangle copy).
+func buildTree(m *mesh.Mesh) *aabbtree.Tree {
+	return aabbtree.BuildSoA(geom.SoAFromTriangles(m.Triangles()))
+}
+
+// evictLocked drops least-recently-used complete entries, with their
+// derived structures, until the budget holds. In-flight entries
+// (elem == nil) are never evicted.
 func (s *shard) evictLocked() {
 	for s.used > s.capacity {
 		back := s.lru.Back()

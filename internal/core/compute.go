@@ -18,19 +18,18 @@ import (
 )
 
 // evalCtx is the per-join geometry computer: it decodes objects through the
-// engine cache, lazily builds the accelerator structures (AABB-trees,
-// partition groups) for decoded representations, and dispatches the
-// pairwise evaluations to the selected accelerator.
+// engine cache, which also owns their AABB trees, lazily builds partition
+// groups for decoded representations, and dispatches the pairwise
+// evaluations to the selected accelerator.
 type evalCtx struct {
 	e    *Engine
 	opts QueryOptions
 	col  *collector
 
-	// mu guards only the slot maps below; tree and group construction runs
-	// outside it, single-flighted per key by the slot's sync.Once so two
-	// workers never duplicate a build.
+	// mu guards only the slot map below; group construction runs outside
+	// it, single-flighted per key by the slot's sync.Once so two workers
+	// never duplicate a build.
 	mu     sync.Mutex
-	trees  map[ctxKey]*treeSlot
 	groups map[ctxKey]*groupSlot
 
 	// scratch holds per-worker filter buffers, indexed by the worker slot
@@ -46,11 +45,6 @@ type ctxKey struct {
 	seq int64
 	id  int64
 	lod int
-}
-
-type treeSlot struct {
-	once sync.Once
-	t    *aabbtree.Tree
 }
 
 type groupSlot struct {
@@ -99,7 +93,6 @@ func newEvalCtx(e *Engine, opts QueryOptions, col *collector) *evalCtx {
 		e:       e,
 		opts:    opts,
 		col:     col,
-		trees:   make(map[ctxKey]*treeSlot),
 		groups:  make(map[ctxKey]*groupSlot),
 		scratch: make([]filterScratch, opts.workers(e)),
 	}
@@ -119,6 +112,9 @@ type obj struct {
 }
 
 func (c *evalCtx) key(o obj) ctxKey { return ctxKey{seq: o.ds.seq, id: o.id, lod: o.lod} }
+
+// cacheKey is the decode-cache key of object id of dataset seq at lod.
+func cacheKey(seq, id int64, lod int) cache.Key { return cache.Key{Object: seq<<40 | id, LOD: lod} }
 
 // decode fetches the mesh of (ds, id) at lod through the engine cache,
 // accounting decode time and cache hits. Misses resume the object's
@@ -210,10 +206,9 @@ func (c *evalCtx) decodeOnce(sto *storage.Object, seq, id int64, lod int) (m *me
 			}
 		}()
 	}
-	key := cache.Key{Object: seq<<40 | id, LOD: lod}
 	missed := false
 	t0 := time.Now()
-	m, err = c.e.cache.GetOrDecodeProgressiveCounted(key, sto.Comp, func() error {
+	m, err = c.e.cache.GetOrDecodeProgressiveCounted(cacheKey(seq, id, lod), sto.Comp, func() error {
 		missed = true
 		c.col.decodes.Add(1)
 		return faultinject.Fire(faultinject.PointCoreDecode)
@@ -239,26 +234,16 @@ func (c *evalCtx) finish(start time.Time) *Stats {
 	return st
 }
 
-// tree returns (building if needed) the AABB-tree of an object at a LOD.
-// Builds are single-flighted per key: concurrent requesters block on the
-// same sync.Once instead of racing to build duplicates.
+// tree returns the AABB tree of an object at a LOD. The decode cache owns
+// it next to the mesh, so it is built once per cache entry, not per query.
 func (c *evalCtx) tree(o obj) *aabbtree.Tree {
-	k := c.key(o)
-	c.mu.Lock()
-	s, ok := c.trees[k]
-	if !ok {
-		s = &treeSlot{}
-		c.trees[k] = s
-	}
-	c.mu.Unlock()
-	s.once.Do(func() { s.t = aabbtree.BuildSoA(o.mesh.SoA()) })
-	return s.t
+	return c.e.cache.Tree(cacheKey(o.ds.seq, o.id, o.lod), o.mesh)
 }
 
 // groupsOf returns the partition groups of an object at a LOD: decoded
 // faces assigned to the object's ingest-time skeleton points. Objects
-// without a skeleton form a single group. Like tree, builds are
-// single-flighted per key.
+// without a skeleton form a single group. Builds are single-flighted per
+// key.
 func (c *evalCtx) groupsOf(o obj) []triGroup {
 	k := c.key(o)
 	c.mu.Lock()

@@ -206,6 +206,17 @@ func (e *Engine) AssembleDataset(name string, ts *storage.Tileset) (*Dataset, er
 	return d, nil
 }
 
+// EvictDataset drops the decode-cache entries of every object of d, with
+// their derived structures. Queries still running on d stay correct; they
+// decode again.
+func (e *Engine) EvictDataset(d *Dataset) {
+	for _, o := range d.Tileset.Objects {
+		if o != nil {
+			e.cache.InvalidateObject(cacheKey(d.seq, o.ID, 0).Object)
+		}
+	}
+}
+
 // filterTree returns the R-tree the filtering step should use for the given
 // accelerator: the sub-object tree for partition-based refinement when it
 // exists, otherwise the whole-object tree.

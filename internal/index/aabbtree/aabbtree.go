@@ -78,6 +78,12 @@ func BuildSoA(s *geom.TriSoA) *Tree {
 // NumTriangles returns the number of indexed triangles.
 func (t *Tree) NumTriangles() int { return len(t.tris) }
 
+// Bytes estimates the resident size of the tree: its reordered triangle
+// copy, the per-triangle boxes and the node array.
+func (t *Tree) Bytes() int64 {
+	return int64(len(t.tris))*72 + int64(len(t.boxes))*48 + int64(cap(t.nodes))*64
+}
+
 // Bounds returns the bounding box of all indexed triangles.
 func (t *Tree) Bounds() geom.Box3 {
 	if t.root < 0 {

@@ -33,6 +33,9 @@ type Mesh struct {
 	// soa lazily memoizes the struct-of-arrays triangle layout consumed by
 	// the batch refinement executor. Same lifecycle as tris.
 	soa atomic.Pointer[geom.TriSoA]
+
+	// onMemo, when set, runs after tris or soa is built (see OnMemo).
+	onMemo atomic.Pointer[func()]
 }
 
 // New returns an empty mesh with the given capacities pre-allocated.
@@ -89,6 +92,7 @@ func (m *Mesh) TrianglesCached() []geom.Triangle {
 	}
 	t := m.Triangles()
 	m.tris.Store(&t)
+	m.memoBuilt()
 	return t
 }
 
@@ -105,7 +109,20 @@ func (m *Mesh) SoA() *geom.TriSoA {
 	}
 	s := geom.SoAFromTriangles(m.TrianglesCached())
 	m.soa.Store(s)
+	m.memoBuilt()
 	return s
+}
+
+// OnMemo registers f to run after each lazy build of a derived layout
+// (TrianglesCached, SoA), so an owner that charges the mesh's
+// FootprintBytes — the decode cache — can re-charge it. One hook per mesh;
+// a later call replaces it. f must not build the mesh's layouts itself.
+func (m *Mesh) OnMemo(f func()) { m.onMemo.Store(&f) }
+
+func (m *Mesh) memoBuilt() {
+	if f := m.onMemo.Load(); f != nil {
+		(*f)()
+	}
 }
 
 // FootprintBytes estimates the resident size of the mesh plus whatever

@@ -82,8 +82,11 @@ func (s *Server) initObs() {
 	reg.CounterFunc("threedpro_cache_decode_failures_total",
 		"Miss-path decodes that returned an error or panicked.",
 		func() float64 { return float64(cache.Stats().DecodeFailures) })
+	reg.CounterFunc("threedpro_cache_tree_builds_total",
+		"AABB trees built for decoded meshes; warm queries build none.",
+		func() float64 { return float64(cache.Stats().TreeBuilds) })
 	reg.GaugeFunc("threedpro_cache_bytes_used",
-		"Estimated bytes of decoded meshes held by the cache.",
+		"Estimated bytes of decoded meshes and their derived structures held by the cache.",
 		func() float64 { return float64(cache.Stats().BytesUsed) })
 
 	quar := s.eng.Quarantine()

@@ -85,6 +85,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"threedpro_cache_rounds_applied_total":  "counter",
 		"threedpro_cache_rounds_skipped_total":  "counter",
 		"threedpro_cache_decode_failures_total": "counter",
+		"threedpro_cache_tree_builds_total":     "counter",
 		"threedpro_cache_bytes_used":            "gauge",
 		"threedpro_quarantine_open":             "gauge",
 		"threedpro_quarantine_half_open":        "gauge",

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"bytes"
+	"container/list"
 	"context"
 	"fmt"
 	"sort"
@@ -24,12 +26,37 @@ type Node struct {
 
 	mu       sync.RWMutex
 	datasets map[string]map[int]*core.Dataset // name → group → home subset
+
+	// life orders Close after every Handle in flight: Handle holds it
+	// shared, Close exclusively. A coordinator abandons an attempt whose
+	// query context ends, so the engine must outlive calls nobody waits
+	// for. closed (guarded by life) turns later requests away.
+	life   sync.RWMutex
+	closed bool
+
+	// loanMu guards loanSets, the assembled loan datasets kept for reuse,
+	// most recently used first (see loanDataset).
+	loanMu   sync.Mutex
+	loanSets *list.List // of *loanSet
+}
+
+// maxLoanSets bounds the loan datasets a node keeps for reuse. The
+// coordinator derives a group's loans from the query alone, so each
+// distinct join request a node serves repeatedly (kind, datasets, dist or
+// k, group) occupies one set.
+const maxLoanSets = 64
+
+// loanSet is one assembled loan dataset and the loans it was built from.
+type loanSet struct {
+	source string
+	loans  []*storage.Object
+	ds     *core.Dataset
 }
 
 // NewNode creates a shard node with its own engine (decode cache, GPU
 // device, and object quarantine are all per-shard).
 func NewNode(id int, opts core.EngineOptions) *Node {
-	return &Node{id: id, eng: core.NewEngine(opts), datasets: make(map[string]map[int]*core.Dataset)}
+	return &Node{id: id, eng: core.NewEngine(opts), datasets: make(map[string]map[int]*core.Dataset), loanSets: list.New()}
 }
 
 // ID returns the shard index.
@@ -38,8 +65,16 @@ func (n *Node) ID() int { return n.id }
 // Engine exposes the node's engine (for statistics and tests).
 func (n *Node) Engine() *core.Engine { return n.eng }
 
-// Close releases the node's engine resources.
-func (n *Node) Close() { n.eng.Close() }
+// Close waits for in-flight requests, then releases the node's engine
+// resources. Requests arriving later fail with ErrTransport.
+func (n *Node) Close() {
+	n.life.Lock()
+	defer n.life.Unlock()
+	if !n.closed {
+		n.closed = true
+		n.eng.Close()
+	}
+}
 
 // AddDataset installs one home group's subset of a dataset. A nil or empty
 // tileset means no object of that group lives here; queries naming it
@@ -83,6 +118,11 @@ func (n *Node) dataset(name string, group int) *core.Dataset {
 // per-attempt deadline the coordinator derived from the request context;
 // the engine honors it.
 func (n *Node) Handle(ctx context.Context, req *Request) (*Response, error) {
+	n.life.RLock()
+	defer n.life.RUnlock()
+	if n.closed {
+		return nil, fmt.Errorf("%w: shard %d is closed", ErrTransport, n.id)
+	}
 	start := time.Now()
 	target := n.dataset(req.Target, req.Group)
 	if target == nil {
@@ -118,7 +158,7 @@ func (n *Node) handleJoin(ctx context.Context, target *core.Dataset, req *Reques
 		sources = append(sources, home)
 	}
 	if len(req.Loans) > 0 {
-		loan, err := n.assembleLoans(req.Source, req.Loans)
+		loan, err := n.loanDataset(req.Source, req.Loans)
 		if err != nil {
 			return nil, err
 		}
@@ -167,9 +207,60 @@ func (n *Node) handleJoin(ctx context.Context, target *core.Dataset, req *Reques
 	return resp, nil
 }
 
-// assembleLoans builds a per-query dataset from the loaned source objects.
-// Object IDs are global (the coordinator's), so pairs produced against
-// loans line up with pairs produced anywhere else.
+// loanDataset returns the dataset of a request's loans. A request whose
+// loans match an earlier one exactly — same source name and, loan by loan
+// in order, the same ID, cuboid and blob bytes — reuses that request's
+// dataset, and with it the dataset's decode-cache keys and AABB trees, so
+// a repeated join decodes nothing. Any difference assembles a new dataset
+// with fresh cache keys, so a changed blob is never served from stale
+// decodes. The maxLoanSets most recently used datasets are kept; an
+// evicted one has its decode-cache entries dropped.
+func (n *Node) loanDataset(source string, loans []*storage.Object) (*core.Dataset, error) {
+	n.loanMu.Lock()
+	for el := n.loanSets.Front(); el != nil; el = el.Next() {
+		if ls := el.Value.(*loanSet); ls.matches(source, loans) {
+			n.loanSets.MoveToFront(el)
+			n.loanMu.Unlock()
+			return ls.ds, nil
+		}
+	}
+	ds, err := n.assembleLoans(source, loans)
+	if err != nil {
+		n.loanMu.Unlock()
+		return nil, err
+	}
+	n.loanSets.PushFront(&loanSet{source: source, loans: loans, ds: ds})
+	var evicted *core.Dataset
+	if n.loanSets.Len() > maxLoanSets {
+		evicted = n.loanSets.Remove(n.loanSets.Back()).(*loanSet).ds
+	}
+	n.loanMu.Unlock()
+	if evicted != nil {
+		n.eng.EvictDataset(evicted)
+	}
+	return ds, nil
+}
+
+// matches reports whether loans are exactly the loans of the set.
+func (ls *loanSet) matches(source string, loans []*storage.Object) bool {
+	if ls.source != source || len(ls.loans) != len(loans) {
+		return false
+	}
+	for i, o := range loans {
+		p := ls.loans[i]
+		if o.ID != p.ID || o.Cuboid != p.Cuboid {
+			return false
+		}
+		if o.Comp != p.Comp && !bytes.Equal(o.Comp.Bytes(), p.Comp.Bytes()) {
+			return false
+		}
+	}
+	return true
+}
+
+// assembleLoans builds a dataset from the loaned source objects. Object
+// IDs are global (the coordinator's), so pairs produced against loans line
+// up with pairs produced anywhere else.
 func (n *Node) assembleLoans(source string, loans []*storage.Object) (*core.Dataset, error) {
 	var maxID int64 = -1
 	for _, o := range loans {
